@@ -14,9 +14,10 @@ from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 REL_TOL = 1e-9  # float sums taken in another order still agree this well
+MAX_MISMATCHES = 3  # differing elements reported per sequence
 
 
-def same_sequence(label: str, got: Sequence, want: Sequence, limit: int = 3) -> List[str]:
+def same_sequence(label: str, got: Sequence, want: Sequence) -> List[str]:
     """Element-by-element equality of two output sequences."""
     problems: List[str] = []
     if len(got) != len(want):
@@ -24,7 +25,7 @@ def same_sequence(label: str, got: Sequence, want: Sequence, limit: int = 3) -> 
     for i, (a, b) in enumerate(zip(got, want)):
         if a != b:
             problems.append(f"{label}[{i}]: {a!r} != reference {b!r}")
-            if len(problems) >= limit:
+            if len(problems) >= MAX_MISMATCHES:
                 break
     return problems
 

@@ -1,5 +1,5 @@
-"""Shared pieces of the benchmark: percentiles, the closed loops' window
-bookkeeping, the end-to-end metric set, the tracer and the run record.
+"""Shared pieces of the benchmark: percentiles, the end-to-end metric set,
+set-up timing, the tracer and the run record.
 
 Everything here is benchmark-side. The program under test is reached only
 through its public API; the tracer wraps public methods on the objects a
@@ -8,7 +8,6 @@ workload builds, and never edits the program's files.
 
 from __future__ import annotations
 
-import bisect
 import gc
 import math
 import os
@@ -53,9 +52,6 @@ def samples_beyond(n: int, q: float) -> int:
 # ---------------------------------------------------------------- the run
 
 
-MARK_S = 1.0  # time-based windows of the timed phase
-
-
 @dataclass
 class Timed:
     """What one timed phase produced, before it is turned into metrics."""
@@ -64,11 +60,6 @@ class Timed:
     wall_s: float
     cpu_s: float
     latencies_ms: List[float]  # per operation, in operation order
-    done_s: List[float]  # each operation's completion time (perf_counter)
-    # Window boundaries from mark(): the rate, CPU and median metrics are
-    # medians over these windows, so a burst of outside load in part of a
-    # run moves them little.
-    marks: List[Tuple[float, float, int, float]]
     llm_calls: int
     usd: float
     tokens: int
@@ -78,71 +69,25 @@ class Timed:
     notes: Dict[str, object] = field(default_factory=dict)
 
 
-def mark(ops: int) -> Tuple[float, float, int, float]:
-    """A window boundary: (perf_counter, process CPU seconds, ops done so
-    far, host steal seconds so far)."""
-    return time.perf_counter(), time.process_time(), ops, steal_s()
-
-
-def _windows(timed: Timed) -> List[Tuple[float, float, float, float]]:
-    """Per window: (ops per second, CPU seconds per op, median latency,
-    steal seconds)."""
-    marks = [m for i, m in enumerate(timed.marks) if i == 0 or m[2] > timed.marks[i - 1][2]]
-    edges = [m[0] for m in marks]
-    by_window: List[List[float]] = [[] for _ in marks]
-    for latency, done in zip(timed.latencies_ms, timed.done_s):
-        by_window[bisect.bisect_left(edges, done)].append(latency)
-    out = []
-    for k in range(1, len(marks)):
-        (t0, c0, n0, s0), (t1, c1, n1, s1) = marks[k - 1], marks[k]
-        if by_window[k]:
-            out.append(((n1 - n0) / (t1 - t0), (c1 - c0) / (n1 - n0), statistics.median(by_window[k]), s1 - s0))
-    return out
-
-
 def end_to_end(timed: Timed, setup_s: float, tail_q: float, peak_rss_mb: float) -> Dict[str, Tuple[float, str]]:
-    """The eight end-to-end metrics every workload reports. Throughput,
-    CPU per op and the median latency are medians over the half of the
-    run's windows in which the host stole the least CPU (whole-run figures
-    when a run is too short to have three windows); the tail is the whole
-    run's percentile."""
+    """The eight end-to-end metrics every workload reports, each over the
+    whole timed phase."""
     n = len(timed.latencies_ms)
     if samples_beyond(n, tail_q) < 10:
         raise RuntimeError(
             f"only {n} latency samples: p{tail_q} would have "
             f"{samples_beyond(n, tail_q)} beyond it (needs >= 10)"
         )
-    # The half of the windows in which the host stole the least CPU.
-    windows = sorted(_windows(timed), key=lambda w: w[3])[: max(3, len(timed.marks) // 2)]
-    if len(windows) >= 3:
-        rate = statistics.median(w[0] for w in windows)
-        cpu_per_op = statistics.median(w[1] for w in windows)
-        p50 = statistics.median(w[2] for w in windows)
-    else:
-        rate = timed.ops / timed.wall_s
-        cpu_per_op = timed.cpu_s / timed.ops
-        p50 = percentile(timed.latencies_ms, 50)
     return {
         "setup_s": (setup_s, "s"),
-        "throughput_ops": (rate, "ops/s"),
-        "latency_p50_ms": (p50, "ms"),
+        "throughput_ops": (timed.ops / timed.wall_s, "ops/s"),
+        "latency_p50_ms": (percentile(timed.latencies_ms, 50), "ms"),
         "latency_tail_ms": (percentile(timed.latencies_ms, tail_q), "ms"),
-        "cpu_us_per_op": (cpu_per_op * 1e6, "us"),
+        "cpu_us_per_op": (timed.cpu_s / timed.ops * 1e6, "us"),
         "llm_calls_per_op": (timed.llm_calls / timed.ops, "calls"),
         "usd_per_1k_ops": (timed.usd / timed.ops * 1000.0, "USD"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
-
-
-def steal_s() -> float:
-    """CPU time the host took from this machine's virtual CPUs so far
-    (the ``steal`` column of /proc/stat; 0 where it is not available)."""
-    try:
-        with open("/proc/stat") as f:
-            fields = f.readline().split()
-        return int(fields[8]) / os.sysconf("SC_CLK_TCK")
-    except (OSError, IndexError, ValueError):
-        return 0.0
 
 
 def peak_rss_mb() -> float:
@@ -150,18 +95,28 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def median_setup(build: Callable[[], object], repeats: int) -> Tuple[float, object]:
-    """Run ``build`` ``repeats`` times; return the median seconds and the
-    state the last build made (the one the timed phase uses)."""
+# Set-up is built at least SETUP_MIN_BUILDS times and until SETUP_MIN_S
+# seconds have gone into building, at most SETUP_MAX_BUILDS times: a short
+# set-up is timed over more builds, whose median then moves less with the
+# host's second-to-second speed.
+SETUP_MIN_BUILDS = 3
+SETUP_MAX_BUILDS = 15
+SETUP_MIN_S = 2.0
+
+
+def median_setup(build: Callable[[], object]) -> Tuple[float, int, object]:
+    """Run ``build`` repeatedly (see SETUP_MIN_BUILDS); return the median
+    seconds, the number of builds and the state the last build made (the
+    one the timed phase uses)."""
     times: List[float] = []
     state = None
-    for _ in range(repeats):
+    while len(times) < SETUP_MIN_BUILDS or (sum(times) < SETUP_MIN_S and len(times) < SETUP_MAX_BUILDS):
         state = None  # let the previous state go before building anew
         gc.collect()
         start = time.perf_counter()
         state = build()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), state
+    return statistics.median(times), len(times), state
 
 
 def settle() -> None:
@@ -214,6 +169,9 @@ def environment(root: str) -> Dict[str, object]:
 # ---------------------------------------------------------------- tracing
 
 
+KEEP_SPANS = 20000  # raw spans kept for the trace file; aggregates cover all
+
+
 class _ThreadAcc:
     """One thread's span aggregates (merged when the run ends, so no lock
     is taken on the hot path)."""
@@ -230,14 +188,13 @@ class Tracer:
 
     A span's self time is its duration minus the time of the spans opened
     inside it on the same thread. Aggregates are kept per thread and per
-    name; the first ``keep_spans`` raw spans are kept too and written out
+    name; the first ``KEEP_SPANS`` raw spans are kept too and written out
     with the aggregates when the run ends."""
 
-    def __init__(self, keep_spans: int = 20000) -> None:
+    def __init__(self) -> None:
         self._local = threading.local()
         self._accs: List[_ThreadAcc] = []
         self._accs_lock = threading.Lock()
-        self.keep_spans = keep_spans
         self._kept = 0
         self._restore: List[Callable[[], None]] = []
 
@@ -278,7 +235,7 @@ class Tracer:
                 tot[1] += dur
                 tot[2] += dur - child
                 tot[3] += c1 - c0
-                if self._kept < self.keep_spans:
+                if self._kept < KEEP_SPANS:
                     self._kept += 1
                     acc.spans.append((name, threading.get_ident(), t0, t1))
 
@@ -500,10 +457,13 @@ def put_reuse_ratio(put_keys: List[str], hit_keys: set) -> float:
 class Workload:
     """How run.py drives one workload."""
 
-    setup: Callable[[int], object]  # seed -> warmed state
+    setup: Callable[[int], object]  # seed -> warmed state (timed: setup_s)
     timed: Callable[..., Timed]  # (state, seconds, tracer|None) -> Timed
     check: Callable[[object, Timed, int], List[str]]  # (state, timed, seed)
     install_tracing: Callable[[object, Tracer], object]
     mark: Callable[[object], object]  # counters before the traced phase
     layer_metrics: Callable[..., Dict[str, float]]
     tail_q: float  # the percentile behind latency_tail_ms
+    # Untimed, after set-up: operations of the timed phase itself run once
+    # so that the timed phase starts in its steady state.
+    prime: Callable[[object], None] = lambda state: None

@@ -37,8 +37,6 @@ from repro.serving.stack import build_stack
 
 import checks
 from harness import (
-    MARK_S,
-    mark as window_mark,
     LayerView,
     Timed,
     Tracer,
@@ -142,13 +140,14 @@ def qa_inputs(seed: int) -> Tuple[List[str], List[str], np.ndarray]:
 
 def mixed_sequence(working: List[str], novel: List[str], draws: np.ndarray, every: int):
     """Working-set requests in ``draws`` order with every ``every``-th
-    request replaced by the next novel one."""
+    request replaced by the next novel one. The sequence ends when the
+    novel requests run out, so the mix never changes within a run."""
     novel_iter = iter(novel)
     for i, w in enumerate(draws):
         if i % every == every - 1:
             prompt = next(novel_iter, None)
             if prompt is None:
-                raise RuntimeError("ran out of novel requests; shorten the run")
+                return
             yield prompt
         else:
             yield working[w]
@@ -188,11 +187,6 @@ def _churn_inputs(seed: int) -> Tuple[List[Tuple[str, str]], List[str]]:
     return warm, fresh[:CHURN_POOL]
 
 
-def _churn_sequence(fresh: List[str]):
-    yield from fresh
-    raise RuntimeError("qa_churn ran out of new requests; shorten the run")
-
-
 def setup_churn(seed: int) -> QAState:
     warm, fresh = _churn_inputs(seed)
     cache = SemanticCache(capacity=CAPACITY)
@@ -200,7 +194,7 @@ def setup_churn(seed: int) -> QAState:
         cache.put(prompt, label)
     cache.flush()  # embed and index the warm entries now, not in the run
     client, stack = _stack(cache)
-    return QAState(client, stack, cache, _churn_sequence(fresh), [])
+    return QAState(client, stack, cache, iter(fresh), [])
 
 
 # ------------------------------------------------------------------ driving
@@ -208,25 +202,23 @@ def setup_churn(seed: int) -> QAState:
 
 def drive(submit, prompts, seconds: float, window: int):
     """Closed loop from the calling thread: keep ``window`` requests in
-    flight for ``seconds``, then drain. Returns (prompts sent, results in
-    order, send times, done times, window marks, wall seconds). Futures
-    are dropped as soon as they are read, so the run's own bookkeeping
-    stays small."""
+    flight for ``seconds`` or until ``prompts`` runs out, then drain.
+    Returns (prompts sent, results in order, send times, done times, wall
+    seconds, whether ``prompts`` ran out). Futures are dropped as soon as
+    they are read, so the run's own bookkeeping stays small."""
     sent: List[str] = []
     results: List[object] = []
     t_send: List[float] = []
     t_done: Dict[int, float] = {}
     inflight: deque = deque()
     perf = time.perf_counter
-    marks = [window_mark(0)]
-    start = marks[0][0]
+    start = perf()
     deadline = start + seconds
+    ran_out = True
     for i, prompt in enumerate(prompts):
-        now = perf()
-        if now >= deadline:
+        if perf() >= deadline:
+            ran_out = False
             break
-        if now >= marks[-1][0] + MARK_S:
-            marks.append(window_mark(len(t_done)))
         sent.append(prompt)
         t_send.append(perf())
         future = submit(prompt)
@@ -237,8 +229,7 @@ def drive(submit, prompts, seconds: float, window: int):
     while inflight:
         results.append(inflight.popleft().result())
     done = [t_done[i] for i in range(len(results))]
-    marks.append((max(done),) + window_mark(len(done))[1:])
-    return sent, results, t_send, done, marks, max(done) - start
+    return sent, results, t_send, done, max(done) - start, ran_out
 
 
 def timed_phase(state: QAState, seconds: float, tracer: Tracer = None) -> Timed:
@@ -253,7 +244,7 @@ def timed_phase(state: QAState, seconds: float, tracer: Tracer = None) -> Timed:
         submit = tracer.wrap("serving.scheduler.submit", served.submit, cpu=True)
     cpu0 = time.process_time()
     try:
-        sent, completions, t_send, t_done, marks, wall = drive(submit, state.prompts, seconds, WINDOW)
+        sent, completions, t_send, t_done, wall, ran_out = drive(submit, state.prompts, seconds, WINDOW)
         cpu = time.process_time() - cpu0
         if tracer is not None:
             # Scheduler threads are alive until close(): read their CPU now.
@@ -265,13 +256,13 @@ def timed_phase(state: QAState, seconds: float, tracer: Tracer = None) -> Timed:
         wall_s=wall,
         cpu_s=cpu,
         latencies_ms=[(d - s) * 1000.0 for s, d in zip(t_send, t_done)],
-        done_s=t_done,
-        marks=marks,
         llm_calls=meter.calls - calls0,
         usd=meter.cost - cost0,
         tokens=meter.prompt_tokens + meter.completion_tokens - tokens0,
         outputs=(sent, completions),
     )
+    if ran_out:
+        timed.notes["report"] = [f"the request sequence ran out after {wall:.2f} s of {seconds:g} s"]
     if tracer is not None:
         timed.notes["scheduler_thread_cpu_s"] = cpu_threads
         timed.notes["t_send"] = t_send

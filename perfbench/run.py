@@ -31,7 +31,6 @@ import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_REPEATS = 3
 TRACE_DIR = os.path.join(ROOT, ".perfbench")
 
 
@@ -66,28 +65,25 @@ def _result(spec: dict, section: str, values: dict, correct: bool, attempted: in
 
 
 def run_one(name: str, seed: int, seconds: float, trace: bool) -> dict:
-    from harness import Tracer, _windows, end_to_end, environment, median_setup, peak_rss_mb, settle, steal_s
+    from harness import Tracer, end_to_end, environment, median_setup, peak_rss_mb, settle
 
     spec = _spec()
     workload = _workloads()[name]
     print("# env " + json.dumps(environment(ROOT)), flush=True)
-    setup_s, state = median_setup(lambda: workload.setup(seed), SETUP_REPEATS)
+    setup_s, builds, state = median_setup(lambda: workload.setup(seed))
+    workload.prime(state)
     settle()
-    steal0 = steal_s()
-    timed = workload.timed(state, seconds, None)
-    steal = steal_s() - steal0
+    # Read before the timed phase: the outputs a run keeps for its checks
+    # grow with its operation count, so a later peak would rise with
+    # throughput.
     rss = peak_rss_mb()
+    timed = workload.timed(state, seconds, None)
     check_start = time.perf_counter()
     problems = workload.check(state, timed, seed)
     print(
         f"# {name}: seed={seed} ops={timed.ops} failed={timed.failed} "
-        f"wall_s={timed.wall_s:.3f} steal_s={steal:.2f} setup_s={setup_s:.3f} "
+        f"wall_s={timed.wall_s:.3f} setup_s={setup_s:.3f} builds={builds} "
         f"check_s={time.perf_counter() - check_start:.3f} problems={len(problems)}",
-        flush=True,
-    )
-    print(
-        f"# {name}: windows (ops/s, steal s) "
-        + " ".join(f"{w[0]:.4g},{w[3]:.2f}" for w in _windows(timed)),
         flush=True,
     )
     for note in timed.notes.get("report", []):
@@ -96,6 +92,7 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> dict:
         print(f"# {name}: PROBLEM {problem}", flush=True)
     if trace:
         traced_state = workload.setup(seed)
+        workload.prime(traced_state)
         tracer = Tracer()
         collected = workload.install_tracing(traced_state, tracer)
         mark = workload.mark(traced_state)

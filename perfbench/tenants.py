@@ -33,8 +33,6 @@ from repro.serving.stack import build_stack
 
 import checks
 from harness import (
-    MARK_S,
-    mark as window_mark,
     LayerView,
     Timed,
     Tracer,
@@ -164,23 +162,12 @@ async def _drive(state: TenantState, seconds: float, loop_cpu: List[float]):
             done[i] = perf()
             queue_ms[i] = ticket.queue_ms
 
-    marks = [window_mark(0)]
-
-    async def sampler() -> None:
-        while perf() < deadline:
-            await asyncio.sleep(MARK_S)
-            marks.append(window_mark(len(done)))
-
     async with gateway:
-        tasks = [asyncio.ensure_future(caller()) for _ in range(WINDOW)]
-        tasks.append(asyncio.ensure_future(sampler()))
-        await asyncio.gather(*tasks)
+        await asyncio.gather(*(caller() for _ in range(WINDOW)))
     loop_cpu.append(time.thread_time() - cpu0)
     if len(results) != max(results) + 1:
         raise RuntimeError("requests were skipped")
-    end = max(done.values())
-    marks = [m for m in marks if m[0] < end] + [(end,) + window_mark(len(done))[1:]]
-    return results, sent, done, queue_ms, marks, end - start
+    return results, sent, done, queue_ms, max(done.values()) - start
 
 
 def timed_phase(state: TenantState, seconds: float, tracer: Tracer = None) -> Timed:
@@ -191,7 +178,7 @@ def timed_phase(state: TenantState, seconds: float, tracer: Tracer = None) -> Ti
     loop_cpu: List[float] = []
     cpu0 = time.process_time()
     try:
-        results, sent, done, queue_ms, marks, wall = asyncio.run(_drive(state, seconds, loop_cpu))
+        results, sent, done, queue_ms, wall = asyncio.run(_drive(state, seconds, loop_cpu))
         cpu = time.process_time() - cpu0
     finally:
         state.cluster.close()  # stop the shard workers
@@ -201,8 +188,6 @@ def timed_phase(state: TenantState, seconds: float, tracer: Tracer = None) -> Ti
         wall_s=wall,
         cpu_s=cpu,
         latencies_ms=[(done[i] - sent[i]) * 1000.0 for i in range(n)],
-        done_s=[done[i] for i in range(n)],
-        marks=marks,
         llm_calls=sum(m.calls for m in meters) - calls0,
         usd=math.fsum(m.cost for m in meters) - math.fsum(cost0),
         tokens=sum(m.prompt_tokens + m.completion_tokens for m in meters) - tokens0,
