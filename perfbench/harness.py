@@ -95,19 +95,20 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-# Set-up is built at least SETUP_MIN_BUILDS times and until SETUP_MIN_S
-# seconds have gone into building, at most SETUP_MAX_BUILDS times: a short
-# set-up is timed over more builds, whose median then moves less with the
-# host's second-to-second speed.
-SETUP_MIN_BUILDS = 3
-SETUP_MAX_BUILDS = 15
-SETUP_MIN_S = 2.0
+# Set-up is timed in two batches, one before the timed phase and one after
+# the checks; the median over both is ``setup_s``. Each batch builds at
+# least SETUP_MIN_BUILDS times and until SETUP_MIN_S seconds have gone into
+# building, at most SETUP_MAX_BUILDS times. The host's speed drifts over
+# seconds, so builds taken some ten seconds apart move less together than
+# builds taken back to back, and a short set-up is timed over more builds.
+SETUP_MIN_BUILDS = 2
+SETUP_MAX_BUILDS = 8
+SETUP_MIN_S = 1.0
 
 
-def median_setup(build: Callable[[], object]) -> Tuple[float, int, object]:
-    """Run ``build`` repeatedly (see SETUP_MIN_BUILDS); return the median
-    seconds, the number of builds and the state the last build made (the
-    one the timed phase uses)."""
+def time_builds(build: Callable[[], object]) -> Tuple[List[float], object]:
+    """Run ``build`` repeatedly (see SETUP_MIN_BUILDS); return the seconds
+    each build took and the state the last build made."""
     times: List[float] = []
     state = None
     while len(times) < SETUP_MIN_BUILDS or (sum(times) < SETUP_MIN_S and len(times) < SETUP_MAX_BUILDS):
@@ -116,7 +117,7 @@ def median_setup(build: Callable[[], object]) -> Tuple[float, int, object]:
         start = time.perf_counter()
         state = build()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), len(times), state
+    return times, state
 
 
 def settle() -> None:

@@ -3,8 +3,9 @@
     python3 perfbench/run.py --workload <name|all> --seed <n> --seconds <s> --trace <0|1>
 
 Run from the root of a checkout. The program is imported from ``src/``.
-One run sets the workload up several times (the median is ``setup_s``),
-measures it for ``--seconds`` with tracing off, and checks every output.
+One run sets the workload up several times, measures it for ``--seconds``
+with tracing off, checks every output, and sets it up several times more;
+the median build time is ``setup_s``.
 With ``--trace 1`` it then sets up again and measures a traced run, whose
 per-layer figures it reports instead of the end-to-end ones, plus the
 tracing overhead (the throughput the traced run lost). The last line of
@@ -15,6 +16,7 @@ standard output is the JSON result; earlier lines describe the run.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 
@@ -24,6 +26,7 @@ import os
 # Set before numpy is first imported; an explicit setting is respected.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+import statistics
 import subprocess
 import sys
 import time
@@ -65,12 +68,12 @@ def _result(spec: dict, section: str, values: dict, correct: bool, attempted: in
 
 
 def run_one(name: str, seed: int, seconds: float, trace: bool) -> dict:
-    from harness import Tracer, end_to_end, environment, median_setup, peak_rss_mb, settle
+    from harness import Tracer, end_to_end, environment, peak_rss_mb, settle, time_builds
 
     spec = _spec()
     workload = _workloads()[name]
     print("# env " + json.dumps(environment(ROOT)), flush=True)
-    setup_s, builds, state = median_setup(lambda: workload.setup(seed))
+    builds, state = time_builds(lambda: workload.setup(seed))
     workload.prime(state)
     settle()
     # Read before the timed phase: the outputs a run keeps for its checks
@@ -80,10 +83,15 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> dict:
     timed = workload.timed(state, seconds, None)
     check_start = time.perf_counter()
     problems = workload.check(state, timed, seed)
+    check_s = time.perf_counter() - check_start
+    state = None
+    gc.unfreeze()  # the run's state, frozen by settle(), may now be collected
+    builds += time_builds(lambda: workload.setup(seed))[0]
+    setup_s = statistics.median(builds)
     print(
         f"# {name}: seed={seed} ops={timed.ops} failed={timed.failed} "
-        f"wall_s={timed.wall_s:.3f} setup_s={setup_s:.3f} builds={builds} "
-        f"check_s={time.perf_counter() - check_start:.3f} problems={len(problems)}",
+        f"wall_s={timed.wall_s:.3f} setup_s={setup_s:.3f} builds={len(builds)} "
+        f"check_s={check_s:.3f} problems={len(problems)}",
         flush=True,
     )
     for note in timed.notes.get("report", []):
